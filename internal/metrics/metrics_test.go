@@ -127,10 +127,48 @@ func TestHistogramVecConcurrentFirstUse(t *testing.T) {
 	if hs[0].Count() != 16 {
 		t.Errorf("count = %d, want 16", hs[0].Count())
 	}
-	// The race losers' registrations were dropped: one series total.
+	// Only the first caller registered: one series total.
 	fams := r.sortedFamilies()
 	if len(fams) != 1 || len(fams[0].series) != 1 {
 		t.Fatalf("registry holds %d families, series %d; want 1/1", len(fams), len(fams[0].series))
+	}
+}
+
+// TestHistogramVecSimultaneousFreshLabel releases 32 goroutines at one
+// barrier onto a label value nobody has used yet. Registering the
+// series before deciding which goroutine wins made the losers panic
+// with "duplicate registration"; run it under -race as well.
+func TestHistogramVecSimultaneousFreshLabel(t *testing.T) {
+	const n = 32
+	for round := 0; round < 20; round++ {
+		r := NewRegistry("t")
+		v := r.NewHistogramVec("t_phase_seconds", "h", []float64{1}, "phase")
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		hs := make([]*Histogram, n)
+		panics := make([]any, n)
+		for i := range hs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				defer func() { panics[i] = recover() }()
+				<-start
+				hs[i] = v.With("fresh")
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for i, p := range panics {
+			if p != nil {
+				t.Fatalf("round %d goroutine %d panicked: %v", round, i, p)
+			}
+			if hs[i] != hs[0] {
+				t.Fatalf("round %d: goroutine %d got a distinct instance", round, i)
+			}
+		}
+		if fams := r.sortedFamilies(); len(fams) != 1 || len(fams[0].series) != 1 {
+			t.Fatalf("round %d: want one family with one series", round)
+		}
 	}
 }
 

@@ -2,7 +2,11 @@ package relation
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
 	"testing"
+
+	"coverpack/internal/hypergraph"
 )
 
 // FuzzTupleKeyRoundTrip checks that the fixed-width key encoding used by
@@ -44,6 +48,59 @@ func FuzzTupleKeyRoundTrip(f *testing.F) {
 			if _, ok := DecodeKey(key[:len(key)-1]); ok {
 				t.Fatal("truncated key should be rejected")
 			}
+		}
+	})
+}
+
+// FuzzGenericJoinCount decodes the input into up to four relations of
+// arity at most 3 over at most 6 attributes, with four distinct values
+// that include both int64 extremes, and checks the worst-case-optimal kernel against brute force, in
+// counting and in emitting mode. Missing input bytes read as zero.
+func FuzzGenericJoinCount(f *testing.F) {
+	f.Add([]byte{})
+	// Bytes: edge count, then (attribute mask, row count) per edge, then
+	// the values row by row.
+	f.Add([]byte{2, 3, 2, 6, 2, 5, 2, 0, 1, 1, 2, 1, 2, 2, 2, 0, 2, 1, 2}) // triangle
+	f.Add([]byte{1, 3, 2, 12, 2, 0, 1, 2, 3, 1, 1, 2, 0})                  // two disjoint edges
+	f.Add([]byte{1, 0, 3, 7, 2, 0, 1, 2, 3, 2, 1})                         // 0-ary edge
+	f.Add([]byte{1, 3, 1, 3, 1, 3, 2, 3, 2})                               // MaxInt64 on a shared variable
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		q := hypergraph.NewQuery("fuzz")
+		var rows []int
+		for e, edges := 0, 1+next()%4; e < edges; e++ {
+			var attrs []int
+			for mask, a := next()%64, 0; a < 6 && len(attrs) < 3; a++ {
+				if mask&(1<<a) != 0 {
+					attrs = append(attrs, a)
+				}
+			}
+			q.AddEdgeVars(fmt.Sprintf("R%d", e), hypergraph.NewVarSet(attrs...))
+			rows = append(rows, next()%9)
+		}
+		in := NewInstance(q)
+		for e, r := range in.Relations {
+			t := make(Tuple, r.Schema().Len())
+			for i := 0; i < rows[e]; i++ {
+				for j := range t {
+					t[j] = []Value{math.MinInt64, -1, 0, math.MaxInt64}[next()%4]
+				}
+				r.Add(t)
+			}
+		}
+		want := bruteJoin(in)
+		if got := countGeneric(in.Relations); got != int64(want.Len()) {
+			t.Fatalf("%v: countGeneric = %d, brute force %d", q, got, want.Len())
+		}
+		if got := in.Join(); !got.Equal(want) {
+			t.Fatalf("%v: Join has %d rows, brute force %d", q, got.Len(), want.Len())
 		}
 	})
 }

@@ -81,64 +81,28 @@ func (in *Instance) Clone() *Instance {
 	return out
 }
 
-// Join computes the full join result sequentially (the correctness
-// oracle for every MPC algorithm in this repository). It semi-join
-// reduces first when the query is acyclic so that the oracle stays
-// feasible on instances whose intermediate joins would otherwise blow
-// up, then folds relations in a connectivity-aware order.
+// Join computes the full join result sequentially: the correctness
+// oracle for every MPC algorithm in this repository. It runs the
+// worst-case-optimal kernel of wcoj.go in emitting mode, so its work is
+// bounded by the AGM bound of the instance and it builds no
+// intermediate relation. The result holds each output tuple once (set
+// semantics), over the union of the edge attributes; its row order is
+// the kernel's and carries no meaning.
 func (in *Instance) Join() *Relation {
-	rels := make([]*Relation, len(in.Relations))
-	for i, r := range in.Relations {
-		rels[i] = r.Dedup()
-	}
-	if tree, ok := hypergraph.GYO(in.Query); ok {
-		rels = semiJoinReduce(in.Query, tree, rels)
-	}
-	remaining := make([]int, len(rels))
-	for i := range remaining {
-		remaining[i] = i
-	}
-	if len(remaining) == 0 {
-		return New(NewSchema())
-	}
-	acc := rels[remaining[0]]
-	accSchema := acc.Schema()
-	used := map[int]bool{remaining[0]: true}
-	for len(used) < len(rels) {
-		// Prefer a relation sharing attributes with the accumulator to
-		// avoid needless Cartesian blowup; fall back to any.
-		next := -1
-		for i := range rels {
-			if used[i] {
-				continue
-			}
-			if len(accSchema.Common(rels[i].Schema())) > 0 {
-				next = i
-				break
-			}
-		}
-		if next == -1 {
-			for i := range rels {
-				if !used[i] {
-					next = i
-					break
-				}
-			}
-		}
-		acc = acc.Join(rels[next])
-		accSchema = acc.Schema()
-		used[next] = true
-	}
-	return acc
+	return joinGeneric(in.Relations)
 }
 
-// JoinSize returns |Q(R)| without materializing when the query is
-// acyclic (Yannakakis-style counting over a join tree); otherwise it
-// falls back to materializing the join.
+// JoinSize returns |Q(R)|, counting each distinct output tuple once,
+// without materializing the join. Acyclic queries take a
+// Yannakakis-style count over a join tree: semi-join reduction, then a
+// bottom-up weight DP, linear in the input. Cyclic queries take the
+// count-only worst-case-optimal kernel of wcoj.go, whose work is
+// bounded by the AGM bound of the input and whose memory is a small
+// multiple of it.
 func (in *Instance) JoinSize() int64 {
 	tree, ok := hypergraph.GYO(in.Query)
 	if !ok {
-		return int64(in.Join().Len())
+		return countGeneric(in.Relations)
 	}
 	rels := make([]*Relation, len(in.Relations))
 	for i, r := range in.Relations {
