@@ -61,10 +61,8 @@ func main() {
 			nw, np, product, runtime.NumCPU())
 	}
 	cfg := experiments.Config{Small: *small, Workers: nw, RunWorkers: np, MemBudget: *memBudget,
-		SpillDir: *spillDir, SpillBudget: *spillBudget, NoPlanCompile: !*planCache}
+		SpillDir: *spillDir, SpillBudget: *spillBudget}
 	if !*planCache {
-		// Disable process-wide too, so concurrent sweep cells never race
-		// the per-run forced switch.
 		coverpack.SetPlanCompileCache(false)
 	}
 

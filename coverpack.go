@@ -372,7 +372,10 @@ type Report struct {
 }
 
 // ExecOptions configures an execution beyond the algorithm and server
-// budget.
+// budget. Every field configures only this run's cluster: ExecuteOpts
+// reads the process-wide switches (SetPooling, SetPlanCompileCache,
+// SetSpilling, SetSpillDir) but never changes them, so concurrent runs
+// with different options need no serialization.
 type ExecOptions struct {
 	// Workers sets the goroutine worker-pool size of the simulator's
 	// parallel engine: 0 or 1 runs sequentially, n > 1 uses n workers,
@@ -390,23 +393,13 @@ type ExecOptions struct {
 	// PlanStats, when non-nil, receives the exchange-plan cache counters
 	// (hits, misses, partition hits, ...) after the run.
 	PlanStats *CacheStats
-	// Streaming selects streaming iterator execution for the run:
-	// StreamDefault (the zero value) follows the process-wide switch
-	// (on by default), StreamOn/StreamOff force it. Like SetPooling,
-	// the underlying switch is process-global: a forced setting is
-	// applied for the duration of the run and restored afterwards, so
-	// concurrent executions forcing different modes must be
-	// serialized by the caller (the difftest oracle runs serially).
-	// Results are byte-identical in every mode; only allocation and
-	// wall-clock behavior differ.
-	Streaming StreamMode
 	// Spilling selects out-of-core execution for the run: SpillDefault
 	// (the zero value) engages spilling only when SpillDir or the
 	// process-wide SetSpillDir names a directory; SpillOn forces it
 	// (falling back to os.TempDir()); SpillOff keeps the run fully
-	// resident. Like Streaming, results are byte-identical in every
-	// mode — spilling moves bytes between memory and disk, never
-	// changes what a run computes.
+	// resident. Results are byte-identical in every mode — spilling
+	// moves bytes between memory and disk, never changes what a run
+	// computes.
 	Spilling SpillMode
 	// SpillDir is the directory for this run's arena segment files; the
 	// cluster creates (and on Release removes) a private subdirectory
@@ -416,23 +409,6 @@ type ExecOptions struct {
 	// before the placement policy parks arenas to disk; 0 selects
 	// DefaultSpillBudgetBytes.
 	SpillBudgetBytes int64
-	// ParKernels selects morsel-parallel local operators for the run:
-	// ParKernelDefault (the zero value) follows the process-wide switch
-	// (on by default), ParKernelOn/ParKernelOff force it. The switch
-	// shares Streaming's process-global semantics (forced settings are
-	// restored after the run; concurrent forced runs must serialize).
-	// Results are byte-identical in every mode and at every worker
-	// count; only wall-clock behavior differs.
-	ParKernels ParKernelMode
-	// PlanCompile selects the compiled-plan shape cache for the run:
-	// PlanCompileDefault (the zero value) follows the process-wide
-	// switch (on by default), PlanCompileOn/PlanCompileOff force it.
-	// The switch shares Streaming's process-global semantics (forced
-	// settings are restored after the run; concurrent forced runs must
-	// serialize). Results are byte-identical in every mode — the cache
-	// reuses compilation artifacts whose remapped form equals direct
-	// computation (see internal/plan); only wall-clock time differs.
-	PlanCompile PlanCompileMode
 }
 
 // Execute runs one algorithm on a fresh p-server cluster and returns
@@ -449,21 +425,6 @@ func ExecuteTraced(alg Algorithm, in *Instance, p int, rec TraceRecorder) (*Repo
 
 // ExecuteOpts is Execute with full options.
 func ExecuteOpts(alg Algorithm, in *Instance, p int, eo ExecOptions) (*Report, error) {
-	if eo.Streaming != StreamDefault {
-		prev := relation.StreamingEnabled()
-		relation.SetStreaming(eo.Streaming == StreamOn)
-		defer relation.SetStreaming(prev)
-	}
-	if eo.ParKernels != ParKernelDefault {
-		prev := relation.ParKernelsEnabled()
-		relation.SetParKernels(eo.ParKernels == ParKernelOn)
-		defer relation.SetParKernels(prev)
-	}
-	if eo.PlanCompile != PlanCompileDefault {
-		prev := PlanCompileEnabled()
-		SetPlanCompileCache(eo.PlanCompile == PlanCompileOn)
-		defer SetPlanCompileCache(prev)
-	}
 	var opts []mpc.Option
 	if eo.Recorder != nil {
 		opts = append(opts, mpc.WithRecorder(eo.Recorder))

@@ -49,8 +49,6 @@ type runCfg struct {
 	workers int
 	cache   bool // plan cache AND retained key indexes
 	pool    bool // arena / hash-bucket / send-list recycling
-	stream  bool // streaming iterator execution of relation ops
-	seqKern bool // force morsel-parallel kernels OFF (sequential operators)
 }
 
 func (c runCfg) String() string {
@@ -62,15 +60,7 @@ func (c runCfg) String() string {
 	if !c.pool {
 		pool = "pool-off"
 	}
-	stream := "stream-on"
-	if !c.stream {
-		stream = "stream-off"
-	}
-	kern := "morsel-on"
-	if c.seqKern {
-		kern = "morsel-off"
-	}
-	return fmt.Sprintf("workers=%d/%s/%s/%s/%s", c.workers, cache, pool, stream, kern)
+	return fmt.Sprintf("workers=%d/%s/%s", c.workers, cache, pool)
 }
 
 // tracedRun executes one configuration with a collector attached and
@@ -89,21 +79,11 @@ func tracedRun(t *testing.T, alg coverpack.Algorithm, in *coverpack.Instance, p 
 		coverpack.SetPooling(false)
 		defer coverpack.SetPooling(true)
 	}
-	streaming := coverpack.StreamOff
-	if cfg.stream {
-		streaming = coverpack.StreamOn
-	}
-	kernels := coverpack.ParKernelOn
-	if cfg.seqKern {
-		kernels = coverpack.ParKernelOff
-	}
 	col := coverpack.NewTraceCollector()
 	rep, err := coverpack.ExecuteOpts(alg, in, p, coverpack.ExecOptions{
 		Workers:     cfg.workers,
 		Recorder:    col,
 		NoPlanCache: !cfg.cache,
-		Streaming:   streaming,
-		ParKernels:  kernels,
 	})
 	if err != nil {
 		return nil, nil, nil, err
@@ -134,36 +114,20 @@ func assertRunsAgree(t *testing.T, label string,
 }
 
 // oracleConfigs is the comparison matrix: the reference (sequential,
-// caches off, pools off, streaming off — the pre-caching, pre-pooling,
-// fully materialized code path) against sequential cache-on plus, per
-// worker count, parallel cache-on and cache-off — each of those with
-// memory recycling on and off, and the whole matrix again with
-// streaming iterator execution on. The streaming arms pin the tentpole
-// guarantee: streaming is a pure allocation lever, so every report,
-// span tree, and phase table must match the materialized reference bit
-// for bit.
+// caches off, pools off — the pre-caching, pre-pooling code path)
+// against sequential cache-on plus, per worker count, parallel cache-on
+// and cache-off — each of those with memory recycling on and off. The
+// parallel arms run the morsel-parallel local kernels wherever an
+// operator crosses their cutoff, so they also pin the kernels'
+// byte-identity with the sequential operators.
 func oracleConfigs() []runCfg {
 	var cfgs []runCfg
-	for _, stream := range []bool{false, true} {
-		for _, pool := range []bool{true, false} {
-			cfgs = append(cfgs, runCfg{workers: 1, cache: true, pool: pool, stream: stream})
-			for _, w := range oracleWorkerSet() {
-				cfgs = append(cfgs,
-					runCfg{workers: w, cache: true, pool: pool, stream: stream},
-					runCfg{workers: w, cache: false, pool: pool, stream: stream})
-			}
-		}
-		// The sequential cache-off/pool-off arm of the opposite stream
-		// mode is not the reference config itself, so compare it too.
-		if stream {
-			cfgs = append(cfgs, runCfg{workers: 1, cache: false, pool: false, stream: true})
-		}
-		// Morsel-off arms: the same parallel engine with every local
-		// operator forced onto its sequential reference implementation.
-		// Any divergence between these and the morsel-on arms above is a
-		// parallel-kernel byte-identity violation.
+	for _, pool := range []bool{true, false} {
+		cfgs = append(cfgs, runCfg{workers: 1, cache: true, pool: pool})
 		for _, w := range oracleWorkerSet() {
-			cfgs = append(cfgs, runCfg{workers: w, cache: true, pool: true, stream: stream, seqKern: true})
+			cfgs = append(cfgs,
+				runCfg{workers: w, cache: true, pool: pool},
+				runCfg{workers: w, cache: false, pool: pool})
 		}
 	}
 	return cfgs
@@ -173,7 +137,7 @@ func oracleConfigs() []runCfg {
 // under each configuration of the matrix.
 func runOracle(t *testing.T, in *coverpack.Instance, p int) {
 	for _, alg := range oracleAlgorithms {
-		seqRep, seqRoot, seqPhases, err := tracedRun(t, alg, in, p, runCfg{workers: 1, cache: false, pool: false, stream: false})
+		seqRep, seqRoot, seqPhases, err := tracedRun(t, alg, in, p, runCfg{workers: 1, cache: false, pool: false})
 		if err != nil {
 			// The algorithm rejects this query class (e.g. AlgTriangle on a
 			// star); nothing to compare.

@@ -46,40 +46,6 @@ ok  	coverpack	2.1s
 	}
 }
 
-// TestParseStreamBenchJSON pins the stream schema adapter on a fixture:
-// entries must come out under the names the live benchmarks normalize
-// to, so a regenerated BENCH_stream.json gates `-bench Stream` runs.
-func TestParseStreamBenchJSON(t *testing.T) {
-	fixture := []byte(`{
-		"numcpu": 1,
-		"streams": [
-			{
-				"pipeline": "yannakakis-line3",
-				"streaming":    {"ns_per_op": 4000000, "allocs_per_op": 3700, "bytes_per_op": 7000000},
-				"materialized": {"ns_per_op": 4100000, "allocs_per_op": 3700, "bytes_per_op": 7300000},
-				"alloc_reduction_x": 1.0,
-				"bytes_reduction_x": 1.04
-			}
-		]
-	}`)
-	es, err := ParseBenchJSON("fixture", fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(es) != 2 {
-		t.Fatalf("got %d entries, want 2: %+v", len(es), es)
-	}
-	if es[0].Name != "streamyannakakisline3/mode=streaming" || es[0].NsPerOp != 4000000 {
-		t.Errorf("entry 0 = %+v", es[0])
-	}
-	if es[1].Name != "streamyannakakisline3/mode=materialized" || es[1].NsPerOp != 4100000 {
-		t.Errorf("entry 1 = %+v", es[1])
-	}
-	if live := Normalize("BenchmarkStreamYannakakisLine3/mode=streaming-4"); live != es[0].Name {
-		t.Errorf("live benchmark normalizes to %q, JSON entry is %q", live, es[0].Name)
-	}
-}
-
 func TestParseSpillBenchJSON(t *testing.T) {
 	fixture := []byte(`{
 		"numcpu": 1,

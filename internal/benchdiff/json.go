@@ -16,16 +16,13 @@ import (
 //	parallel (legacy) {"rows": [{query, algorithm, seq_ns, par_ns}]} → parallel/<query>/<alg>/seq|par
 //	plan     {"rows": [{workload, cache_on_ns, cache_off_ns}]} → plan/<workload>/cacheon|cacheoff
 //	sweep    {"arms": [{sweep, run_workers, ns}]}        → sweep<sweep>/runworkers=<w>
-//	stream   {"streams": [{pipeline, streaming: {ns_per_op}, materialized: {ns_per_op}}]}
-//	         → stream<pipeline>/mode=streaming|materialized
 //	spill    {"spills": [{pipeline, spilled: {ns_per_op}, resident: {ns_per_op}}]}
 //	         → spill<pipeline>/mode=spilled|resident
 //	compile  {"compiles": [{shape, cold_ns, warm_ns, iso_warm_ns}]}
 //	         → plancompile/<shape>/mode=cold|warm|isowarm
 //
-// The memory, sweep, stream, spill, and compile forms line up with live
+// The memory, sweep, spill, and compile forms line up with live
 // benchmark names (BenchmarkMemDedupe, BenchmarkSweepTable1/runworkers=4,
-// BenchmarkStreamYannakakisLine3/mode=streaming,
 // BenchmarkSpillTriangleHeavyhub/mode=spilled,
 // BenchmarkPlanCompile/line3/mode=warm) after Normalize; the
 // others compare only against their own kind.
@@ -87,25 +84,12 @@ type compilesFile struct {
 	} `json:"compiles"`
 }
 
-type streamFile struct {
-	Streams []struct {
-		Pipeline  string `json:"pipeline"`
-		Streaming struct {
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"streaming"`
-		Materialized struct {
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"materialized"`
-	} `json:"streams"`
-}
-
 // ParseBenchJSON decodes one committed BENCH_*.json file into entries,
 // sniffing which of the known schemas it carries.
 func ParseBenchJSON(source string, data []byte) ([]Entry, error) {
 	var probe struct {
 		Rows     json.RawMessage `json:"rows"`
 		Arms     json.RawMessage `json:"arms"`
-		Streams  json.RawMessage `json:"streams"`
 		Spills   json.RawMessage `json:"spills"`
 		Compiles json.RawMessage `json:"compiles"`
 	}
@@ -140,16 +124,6 @@ func ParseBenchJSON(source string, data []byte) ([]Entry, error) {
 			base := "spill" + s.Pipeline + "/mode="
 			out = add(out, base+"spilled", s.Spilled.NsPerOp)
 			out = add(out, base+"resident", s.Resident.NsPerOp)
-		}
-	case len(probe.Streams) > 0:
-		var f streamFile
-		if err := json.Unmarshal(data, &f); err != nil {
-			return nil, fmt.Errorf("benchdiff: %s: %w", source, err)
-		}
-		for _, s := range f.Streams {
-			base := "stream" + s.Pipeline + "/mode="
-			out = add(out, base+"streaming", s.Streaming.NsPerOp)
-			out = add(out, base+"materialized", s.Materialized.NsPerOp)
 		}
 	case len(probe.Arms) > 0:
 		var f sweepFile
@@ -203,7 +177,7 @@ func ParseBenchJSON(source string, data []byte) ([]Entry, error) {
 			}
 		}
 	default:
-		return nil, fmt.Errorf("benchdiff: %s: unrecognized schema (no rows, arms, streams, spills, or compiles)", source)
+		return nil, fmt.Errorf("benchdiff: %s: unrecognized schema (no rows, arms, spills, or compiles)", source)
 	}
 	return out, nil
 }

@@ -411,15 +411,9 @@ func (ex *executor) heavyBranch(sub *mpc.Group, alive hypergraph.EdgeSet, vars m
 			nv.Remove(x)
 			nvars[e] = nv
 			ns := relation.NewSchema(nv.Attrs()...)
-			if relation.StreamingEnabled() && part.Len() > sub.Size()*relation.StreamCutoff {
-				part = sub.LocalStream(part, func(_ int, it relation.RowIterator) relation.RowIterator {
-					return relation.Project(it, ns)
-				})
-			} else {
-				part = sub.Local(part, func(_ int, f *relation.Relation) *relation.Relation {
-					return f.ProjectTo(ns)
-				})
-			}
+			part = sub.Local(part, func(_ int, f *relation.Relation) *relation.Relation {
+				return f.ProjectTo(ns)
+			})
 		}
 		nrels[e] = part
 	}

@@ -66,11 +66,6 @@ type Config struct {
 	// SpillBudget is the per-run resident-byte budget of a spilled
 	// cell; 0 selects coverpack.DefaultSpillBudgetBytes.
 	SpillBudget int64
-	// NoPlanCompile forces the compiled-plan shape cache off for every
-	// execution of the config (the differential-testing lever: every
-	// table is byte-identical with the cache on or off; only wall-clock
-	// time differs).
-	NoPlanCompile bool
 }
 
 // DefaultMemBudget is the admission-gate default: the summed input
@@ -90,11 +85,7 @@ func (c Config) pick(small, big int) int {
 // pins Spilling off so the resident form stays the historical code
 // path even when a process-wide spill directory is set.
 func (c Config) eo() coverpack.ExecOptions {
-	e := coverpack.ExecOptions{Workers: c.Workers, Spilling: coverpack.SpillOff}
-	if c.NoPlanCompile {
-		e.PlanCompile = coverpack.PlanCompileOff
-	}
-	return e
+	return coverpack.ExecOptions{Workers: c.Workers, Spilling: coverpack.SpillOff}
 }
 
 // spillEO is eo with the config's out-of-core placement applied.

@@ -487,6 +487,17 @@ func (g *Group) Scatter(r *relation.Relation) *DistRelation {
 	return g.spillAdmit(d)
 }
 
+// ScatterDedup scatters the distinct rows of r round-robin over the
+// group: row i of the first-seen deduplicated order lands on server
+// i mod size. A large input on a parallel cluster dedups through the
+// partitioned kernel, which yields the same first-seen order.
+func (g *Group) ScatterDedup(r *relation.Relation) *DistRelation {
+	if g.cluster.workers > 1 && r.Len() >= relation.ParCutoff {
+		return g.Scatter(r.DedupPar(g))
+	}
+	return g.Scatter(r.Dedup())
+}
+
 // hashKey gives a deterministic hash of an encoded key. It is the
 // legacy reference implementation: hashtab.Hash(t, pos) computes the
 // same FNV-64a value over the same big-endian byte stream without

@@ -318,43 +318,3 @@ func TestJoinCountDisconnectedComponentViaCartesian(t *testing.T) {
 		t.Fatalf("Cartesian count = %d, want 20", got)
 	}
 }
-
-// TestReduceByKeyChunkBoundaryStreaming drives the streaming
-// pre-aggregation path with group keys recurring across iterator chunk
-// boundaries: one server holds far more than one 256-row chunk, and
-// every key's occurrences are spread hundreds of rows apart, so summing
-// them correctly requires the incremental aggregation table to persist
-// across chunks. Streaming on and off must agree row for row.
-func TestReduceByKeyChunkBoundaryStreaming(t *testing.T) {
-	const rows, keys = 1500, 311 // keys > 256: repeats straddle chunks
-	run := func(streaming bool) (*relation.Relation, *relation.Relation) {
-		relation.SetStreaming(streaming)
-		defer relation.SetStreaming(true)
-		c := mpc.NewCluster(2)
-		g := c.Root()
-		r := relation.New(relation.NewSchema(0, wAttr))
-		for i := int64(0); i < rows; i++ {
-			r.AddValues(i%keys, i)
-		}
-		d := g.Scatter(r)
-		red := ReduceByKey(g, d, []int{0}, wAttr).Collect()
-		deg := Degrees(g, d, 0, gAttr).Collect()
-		return red, deg
-	}
-	onRed, onDeg := run(true)
-	offRed, offDeg := run(false)
-	for label, pair := range map[string][2]*relation.Relation{
-		"ReduceByKey": {onRed, offRed},
-		"Degrees":     {onDeg, offDeg},
-	} {
-		got, want := pair[0], pair[1]
-		if got.Len() != want.Len() {
-			t.Fatalf("%s: streaming %d rows, materialized %d", label, got.Len(), want.Len())
-		}
-		for i := 0; i < want.Len(); i++ {
-			if !got.Row(i).Equal(want.Row(i)) {
-				t.Fatalf("%s: row %d streaming %v, materialized %v", label, i, got.Row(i), want.Row(i))
-			}
-		}
-	}
-}

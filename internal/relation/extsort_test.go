@@ -116,7 +116,7 @@ func TestExternalSortAlreadySortedEarlyOut(t *testing.T) {
 	if got := SpillStats().SegmentsWritten - before.SegmentsWritten; got != 0 {
 		t.Fatalf("early-out wrote %d segments", got)
 	}
-	assertSame(t, "content", Materialize(c.Iter()), r)
+	assertSame(t, "content", materialize(c.Iter()), r)
 }
 
 func TestExternalSortSingleRunFallsBackToResident(t *testing.T) {

@@ -206,24 +206,19 @@ func JoinSizeOf(rels []*Relation) int64 {
 func semiJoinReduce(q *hypergraph.Query, tree *hypergraph.JoinTree, rels []*Relation) []*Relation {
 	out := make([]*Relation, len(rels))
 	copy(out, rels)
-	// Bottom-up: parent ⋉ child after child is fully reduced. With
-	// streaming on, a parent with several children chains the per-child
-	// semi-join filters over one pass of its rows instead of
-	// materializing an intermediate per child: reducing the children
-	// first never reads out[e], and chained filters preserve row order,
-	// so the fused pass yields exactly the sequential result.
+	// Bottom-up: parent ⋉ child after child is fully reduced. A parent
+	// with several children keeps a row in one pass only if every child
+	// has a partner for it: reducing the children first never reads
+	// out[e], so this is exactly the chain of per-child semi-joins,
+	// without an intermediate per child.
 	var up func(e int)
 	up = func(e int) {
 		cs := tree.Children(e)
 		for _, c := range cs {
 			up(c)
 		}
-		if len(cs) > 1 && StreamingEnabled() {
-			it := RowIterator(out[e].Iter())
-			for _, c := range cs {
-				it = StreamSemiJoin(it, out[c])
-			}
-			out[e] = Materialize(it)
+		if len(cs) > 1 {
+			out[e] = semiJoinAll(out[e], out, cs)
 			return
 		}
 		for _, c := range cs {
@@ -241,6 +236,42 @@ func semiJoinReduce(q *hypergraph.Query, tree *hypergraph.JoinTree, rels []*Rela
 	for _, root := range tree.Roots() {
 		up(root)
 		down(root)
+	}
+	return out
+}
+
+// semiJoinAll returns the rows of r with a partner in every rels[c],
+// c in cs, on their common attributes — r.SemiJoin(rels[cs[0]]).
+// SemiJoin(rels[cs[1]])... in one pass. A child sharing no attribute
+// with r passes every row when nonempty and none when empty, as
+// SemiJoin does.
+func semiJoinAll(r *Relation, rels []*Relation, cs []int) *Relation {
+	type probe struct {
+		table *hashtab.Table
+		rPos  []int
+	}
+	probes := make([]probe, 0, len(cs))
+	for _, c := range cs {
+		s := rels[c]
+		common := r.schema.Common(s.schema)
+		if len(common) == 0 {
+			if s.Len() == 0 {
+				return New(r.schema)
+			}
+			continue
+		}
+		probes = append(probes, probe{s.indexOn(s.schema.Positions(common)).table, r.schema.Positions(common)})
+	}
+	out := New(r.schema)
+rows:
+	for i := 0; i < r.rows; i++ {
+		t := r.Row(i)
+		for _, p := range probes {
+			if p.table.Find(t, p.rPos) < 0 {
+				continue rows
+			}
+		}
+		out.Add(t)
 	}
 	return out
 }

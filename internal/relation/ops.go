@@ -73,6 +73,42 @@ func (r *Relation) SelectEq(a int, v Value) *Relation {
 	return out
 }
 
+// SelectEqProject is SelectEq(a, v).Project(attrs...) in one pass:
+// survivors are written straight into the output, with no SelectEq
+// intermediate (the wide relation, carrying every column). Output and
+// panics match the two operators: the selection attribute is validated
+// first, then every projection attribute (even when nothing survives),
+// and survivors are emitted in scan order with columns in schema
+// order.
+func (r *Relation) SelectEqProject(a int, v Value, attrs ...int) *Relation {
+	p := r.schema.Pos(a)
+	if p < 0 {
+		panic(fmt.Sprintf("relation: SelectEq attribute %d not in schema %v", a, r.schema))
+	}
+	schema := NewSchema(attrs...)
+	out := New(schema)
+	pos := make([]int, schema.Len())
+	for i := range pos {
+		pa := schema.Attr(i)
+		pp := r.schema.Pos(pa)
+		if pp < 0 {
+			panic(fmt.Sprintf("relation: Project attribute %d not in schema %v", pa, r.schema))
+		}
+		pos[i] = pp
+	}
+	for i := 0; i < r.rows; i++ {
+		t := r.Row(i)
+		if t[p] != v {
+			continue
+		}
+		for _, q := range pos {
+			out.data = append(out.data, t[q])
+		}
+		out.rows++
+	}
+	return out
+}
+
 // SelectIn returns the tuples whose value at attribute a is in the set.
 func (r *Relation) SelectIn(a int, vs map[Value]bool) *Relation {
 	p := r.schema.Pos(a)

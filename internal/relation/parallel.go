@@ -2,7 +2,6 @@ package relation
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"coverpack/internal/hashtab"
 )
@@ -56,22 +55,10 @@ type Forker interface {
 	Workers() int
 }
 
-// parKernelsOff is inverted so the zero value means "parallel kernels
-// on" (mirroring the streaming and index-caching switches).
-var parKernelsOff atomic.Bool
-
-// SetParKernels toggles the parallel kernel paths process-wide
-// (default on). Outputs are byte-identical either way — the switch
-// exists for the differential tests and sequential benchmarking arms.
-func SetParKernels(on bool) { parKernelsOff.Store(!on) }
-
-// ParKernelsEnabled reports whether parallel kernels are in use.
-func ParKernelsEnabled() bool { return !parKernelsOff.Load() }
-
 // parEligible decides whether a kernel over the given row count takes
 // its parallel path, and counts the decision.
 func parEligible(f Forker, rows int) bool {
-	if f == nil || f.Workers() <= 1 || parKernelsOff.Load() {
+	if f == nil || f.Workers() <= 1 {
 		return false
 	}
 	if rows < ParCutoff {

@@ -242,9 +242,8 @@ func TestAggregateSumParMatchesSequential(t *testing.T) {
 	}
 }
 
-// Sub-cutoff inputs must stay sequential and be counted; the kill
-// switch must force the sequential path outright.
-func TestParKernelCutoffAndKillSwitch(t *testing.T) {
+// Sub-cutoff inputs must stay sequential and be counted.
+func TestParKernelCutoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	small := randomRel(rng, NewSchema(0, 1), ParCutoff-1, 10)
 	big := randomRel(rng, NewSchema(0, 1), ParCutoff, 10)
@@ -264,16 +263,5 @@ func TestParKernelCutoffAndKillSwitch(t *testing.T) {
 	_ = big.DedupPar(goForker{1})
 	if st := ParStats(); st.KernelRuns != 0 || st.SeqCutoffs != 0 {
 		t.Fatalf("sequential forker counted %+v", st)
-	}
-
-	SetParKernels(false)
-	defer SetParKernels(true)
-	ResetParStats()
-	out := big.DedupPar(goForker{4})
-	if st := ParStats(); st.KernelRuns != 0 {
-		t.Fatalf("kill switch ignored: %+v", st)
-	}
-	if !slices.Equal(out.data, big.Dedup().data) {
-		t.Fatal("kill-switch path differs from Dedup")
 	}
 }

@@ -25,7 +25,7 @@ import (
 // without decoding more than the head row of each run.
 //
 // Readers never observe the difference: a parked relation streams back
-// through the PR 7 chunk-iterator contract (segIterator below yields
+// through the chunk-iterator contract of iterator.go (segIterator yields
 // ≤ streamChunkRows-row chunks, resident segments as zero-copy views
 // and spilled segments decoded into one pooled scratch arena), and any
 // random-access path (Row, Data, sorts below the run threshold) pages
@@ -42,7 +42,7 @@ import (
 // report, trace, or table byte; the spill difftest arms pin this.
 
 // spillOff is inverted so the zero value means "spilling permitted".
-// Note the default direction differs from pooling/streaming: spilling
+// Note the default direction differs from pooling: spilling
 // additionally requires a configured directory (SetSpillDir or
 // mpc.WithSpill), so the zero state of the process still never touches
 // disk.
@@ -51,7 +51,8 @@ var spillOff atomic.Bool
 // SetSpilling toggles spill-to-disk globally (default on). Off, ParkTo
 // becomes a no-op and every relation stays fully resident — the
 // pre-spilling behavior, byte-identical in every observable artifact
-// (the spill difftest arms pin this). Mirrors SetPooling/SetStreaming.
+// (the spill difftest arms pin this). Process-wide, like SetPooling
+// and SetIndexCaching.
 func SetSpilling(on bool) { spillOff.Store(!on) }
 
 // SpillingEnabled reports whether spill-to-disk is permitted.

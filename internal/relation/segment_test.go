@@ -119,6 +119,38 @@ func spillTestRel(n int) *Relation {
 	return r
 }
 
+// materialize drains an iterator into a fresh relation, copying every
+// chunk, and closes it.
+func materialize(it RowIterator) *Relation {
+	out := New(it.Schema())
+	for {
+		c, ok := it.Next()
+		if !ok {
+			break
+		}
+		out.data = append(out.data, c.data...)
+		out.rows += c.rows
+	}
+	it.Close()
+	return out
+}
+
+// assertSame fails unless got reproduces want row for row.
+func assertSame(t *testing.T, label string, got, want *Relation) {
+	t.Helper()
+	if !got.Schema().Equal(want.Schema()) {
+		t.Fatalf("%s: schema %v, want %v", label, got.Schema(), want.Schema())
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d rows, want %d\n got: %v\nwant: %v", label, got.Len(), want.Len(), got, want)
+	}
+	for i := 0; i < want.Len(); i++ {
+		if !got.Row(i).Equal(want.Row(i)) {
+			t.Fatalf("%s: row %d is %v, want %v", label, i, got.Row(i), want.Row(i))
+		}
+	}
+}
+
 func TestParkToRoundTripsThroughIterAndPageIn(t *testing.T) {
 	dir := t.TempDir()
 	// > one segment: spillSegValues/arity rows per segment.
@@ -149,7 +181,7 @@ func TestParkToRoundTripsThroughIterAndPageIn(t *testing.T) {
 	}
 
 	// Streaming readers see the spilled bytes without paging in.
-	assertSame(t, "parked-iter", Materialize(r.Iter()), want)
+	assertSame(t, "parked-iter", materialize(r.Iter()), want)
 	if !r.Parked() {
 		t.Fatal("streaming a parked relation paged it in")
 	}
@@ -236,7 +268,7 @@ func TestSegIteratorRewindAndChunkShape(t *testing.T) {
 		t.Fatal("parked iterator is not Rewindable")
 	}
 	rw.Rewind()
-	assertSame(t, "rewound", Materialize(it), want)
+	assertSame(t, "rewound", materialize(it), want)
 }
 
 func TestSegmentedArenaMaterializeAndRemove(t *testing.T) {
@@ -306,7 +338,7 @@ func TestParkedConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := Materialize(r.Iter())
+			got := materialize(r.Iter())
 			if got.Len() != n {
 				errs <- "streamed wrong row count"
 			}

@@ -6,74 +6,17 @@ import (
 	"coverpack/internal/metrics"
 )
 
-// Streaming telemetry: like the pool counters, the streaming layer
-// counts into process-wide atomics on the hot path and exposes them to
-// the default registry as callback series read at scrape time — no
-// per-chunk registry traffic, and the counters stay available to tests
-// through StreamStats even with metrics disabled.
+// streamChunks counts chunks yielded by RowIterators (the parked-arena
+// reader and external sort). Like the pool counters it is a
+// process-wide atomic on the hot path, exposed to the default registry
+// as a callback series read at scrape time.
+var streamChunks atomic.Uint64
 
-var (
-	streamChunks atomic.Uint64
-	streamSpills atomic.Uint64
-	// streamPeakRetained is the high-water mark of bytes retained by
-	// any single BufferedIterator spill arena.
-	streamPeakRetained atomic.Uint64
-)
-
-// noteChunk counts one chunk yielded by any streaming iterator.
+// noteChunk counts one chunk yielded by a RowIterator.
 func noteChunk() { streamChunks.Add(1) }
-
-// noteSpill counts one BufferedIterator starting to retain rows.
-func noteSpill() { streamSpills.Add(1) }
-
-// noteRetained raises the peak-retained-arena high-water mark to at
-// least n bytes.
-func noteRetained(n uint64) {
-	for {
-		cur := streamPeakRetained.Load()
-		if n <= cur || streamPeakRetained.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// StreamCounters snapshots the streaming-layer counters.
-type StreamCounters struct {
-	// Chunks is the total number of chunks yielded by streaming
-	// iterators.
-	Chunks uint64
-	// Spills is the number of BufferedIterators that retained rows to
-	// a spill arena (rewindable sources never spill).
-	Spills uint64
-	// PeakRetainedBytes is the largest spill arena any single
-	// BufferedIterator has held, in bytes.
-	PeakRetainedBytes uint64
-}
-
-// StreamStats snapshots the streaming counters.
-func StreamStats() StreamCounters {
-	return StreamCounters{
-		Chunks:            streamChunks.Load(),
-		Spills:            streamSpills.Load(),
-		PeakRetainedBytes: streamPeakRetained.Load(),
-	}
-}
-
-// ResetStreamStats zeroes the streaming counters (test/bench seam).
-func ResetStreamStats() {
-	streamChunks.Store(0)
-	streamSpills.Store(0)
-	streamPeakRetained.Store(0)
-}
 
 func init() {
 	metrics.Default.NewCounterFunc("coverpack_stream_chunks_total",
-		"Chunks yielded by streaming relation iterators.",
+		"Chunks yielded by relation row iterators (parked-arena reads and external sort).",
 		func() float64 { return float64(streamChunks.Load()) })
-	metrics.Default.NewCounterFunc("coverpack_stream_spills_total",
-		"BufferedIterator spills to a retained arena.",
-		func() float64 { return float64(streamSpills.Load()) })
-	metrics.Default.NewGaugeFunc("coverpack_stream_retained_bytes_peak",
-		"High-water mark of bytes retained by a single BufferedIterator spill arena.",
-		func() float64 { return float64(streamPeakRetained.Load()) })
 }

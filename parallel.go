@@ -7,17 +7,9 @@ import "coverpack/internal/relation"
 // join, reduce) that fan local operator work out over the cluster's
 // worker pool. Parallel kernels are a pure wall-clock lever — every
 // kernel's output is byte-identical to its sequential reference at any
-// worker count (the difftest oracle runs the full matrix both ways to
-// pin it), and at Workers <= 1 they never engage.
-
-// SetParKernels toggles the morsel-parallel kernel paths process-wide.
-// Off, every local operator runs its sequential reference
-// implementation even on parallel clusters. On by default; the switch
-// mirrors SetStreaming.
-func SetParKernels(on bool) { relation.SetParKernels(on) }
-
-// ParKernelsEnabled reports whether parallel kernels are active.
-func ParKernelsEnabled() bool { return relation.ParKernelsEnabled() }
+// worker count (the difftest oracle compares every parallel arm with
+// the sequential reference to pin it), and at Workers <= 1 they never
+// engage.
 
 // ParCounters snapshots the parallel-kernel diagnostics: kernels that
 // took a parallel path, and parallel-eligible kernels that stayed
@@ -31,19 +23,3 @@ func ParStats() ParCounters { return relation.ParStats() }
 // ResetParStats zeroes the parallel-kernel counters (test and
 // benchmark seam).
 func ResetParStats() { relation.ResetParStats() }
-
-// ParKernelMode selects the parallel-kernel behavior of one execution
-// (see ExecOptions.ParKernels).
-type ParKernelMode int
-
-const (
-	// ParKernelDefault follows the process-wide switch (on unless
-	// SetParKernels(false) was called). The zero value, so plain
-	// ExecOptions literals keep parallel kernels on by default.
-	ParKernelDefault ParKernelMode = iota
-	// ParKernelOn forces the parallel kernel paths for the run (they
-	// still require Workers > 1 to engage).
-	ParKernelOn
-	// ParKernelOff forces the sequential operator path for the run.
-	ParKernelOff
-)

@@ -16,19 +16,6 @@ import (
 // byte-identical with the cache on or off (the difftest oracle pins
 // this).
 
-// PlanCompileMode selects the compiled-plan shape cache for one run
-// (see ExecOptions.PlanCompile).
-type PlanCompileMode int
-
-const (
-	// PlanCompileDefault follows the process-wide switch.
-	PlanCompileDefault PlanCompileMode = iota
-	// PlanCompileOn forces the compile cache on for the run.
-	PlanCompileOn
-	// PlanCompileOff forces the compile cache off for the run.
-	PlanCompileOff
-)
-
 // PlanCompileStats reports the shape-cache counters: invariant slot
 // hits/misses, the iso-hit subset served across fingerprints,
 // equivariant slot hits/misses, LRU evictions and the live entry count.

@@ -16,15 +16,18 @@ import (
 // sharing and equivariant remapping actually serve artifacts, so a
 // remap bug cannot hide.
 
-// planCompileRun executes one arm with a collector attached.
+// planCompileRun executes one arm with a collector attached, the
+// compile cache switched on or off for the run. The switch is
+// process-wide, which is safe here because the oracle runs serially.
 func planCompileRun(t *testing.T, alg coverpack.Algorithm, in *coverpack.Instance, p, workers int,
-	mode coverpack.PlanCompileMode) (*coverpack.Report, *coverpack.TraceSpan, []coverpack.PhaseRow, error) {
+	cache bool) (*coverpack.Report, *coverpack.TraceSpan, []coverpack.PhaseRow, error) {
 	t.Helper()
+	coverpack.SetPlanCompileCache(cache)
+	defer coverpack.SetPlanCompileCache(true)
 	col := coverpack.NewTraceCollector()
 	rep, err := coverpack.ExecuteOpts(alg, in, p, coverpack.ExecOptions{
-		Workers:     workers,
-		Recorder:    col,
-		PlanCompile: mode,
+		Workers:  workers,
+		Recorder: col,
 	})
 	if err != nil {
 		return nil, nil, nil, err
@@ -43,7 +46,7 @@ func TestPlanCompileOracleCatalog(t *testing.T) {
 		t.Run(entry.Query.Name(), func(t *testing.T) {
 			in := coverpack.Uniform(entry.Query, 400, 500, 1)
 			for _, alg := range oracleAlgorithms {
-				refRep, refRoot, refPhases, err := planCompileRun(t, alg, in, 8, 1, coverpack.PlanCompileOff)
+				refRep, refRoot, refPhases, err := planCompileRun(t, alg, in, 8, 1, false)
 				if err != nil {
 					// The algorithm rejects this query class; nothing to
 					// compare.
@@ -53,7 +56,7 @@ func TestPlanCompileOracleCatalog(t *testing.T) {
 					coverpack.ResetPlanCompileCache()
 					coverpack.ResetAnalyzeCache()
 					for _, arm := range []string{"cold", "warm"} {
-						rep, root, phases, err := planCompileRun(t, alg, in, 8, w, coverpack.PlanCompileOn)
+						rep, root, phases, err := planCompileRun(t, alg, in, 8, w, true)
 						if err != nil {
 							t.Errorf("%s/%s workers=%d %s: run failed where the reference succeeded: %v",
 								entry.Query.Name(), alg, w, arm, err)

@@ -19,8 +19,8 @@ import (
 )
 
 // spillPipelines are the benchmarked (pipeline, algorithm, instance)
-// cells — the streaming bench cells plus a multi-join whose exchange
-// chain parks many fragments per round.
+// cells — two Table 1 pipelines plus a multi-join whose exchange chain
+// parks many fragments per round.
 type spillPipeline struct {
 	name string
 	alg  coverpack.Algorithm

@@ -22,8 +22,8 @@ const DefaultSpillBudgetBytes int64 = 64 << 20
 // SetSpilling toggles spill-to-disk execution process-wide. Off, every
 // ParkTo becomes a no-op and all arenas stay resident — the
 // pre-spilling code path. Spilling is on by default (but inert until a
-// run configures a spill directory); the kill switch mirrors
-// SetPooling and SetStreaming.
+// run configures a spill directory). Like SetPooling it is
+// process-wide: ExecuteOpts reads it and never changes it.
 func SetSpilling(on bool) { relation.SetSpilling(on) }
 
 // SpillingEnabled reports whether spill-to-disk execution is active.

@@ -12,10 +12,9 @@ import (
 // The run-level determinism oracle: the sweep scheduler executes
 // experiment cells concurrently, and the memory pools recycle arenas
 // across those runs — neither may change a single byte of any table.
-// The reference is the sequential, pooling-off, streaming-off sweep
-// (the pre-scheduler, fully materialized code path); every
-// (run-workers × pooling × streaming) arm must render the exact same
-// tables.
+// The reference is the sequential, pooling-off sweep (the
+// pre-scheduler code path); every (run-workers × pooling) arm must
+// render the exact same tables.
 
 // renderTables flattens tables into one comparable byte string.
 func renderTables(tables []experiments.Table) string {
@@ -33,12 +32,10 @@ func renderTables(tables []experiments.Table) string {
 // sweepOnce runs the scheduled sweep subset under one configuration:
 // the full Table 1 plus one figure sweep (Figure 6) — together they
 // cover ExecuteOpts cells, MinLoad cells, and exponent-fit assembly.
-func sweepOnce(t *testing.T, runWorkers int, pool, stream bool) string {
+func sweepOnce(t *testing.T, runWorkers int, pool bool) string {
 	t.Helper()
 	coverpack.SetPooling(pool)
 	defer coverpack.SetPooling(true)
-	coverpack.SetStreaming(stream)
-	defer coverpack.SetStreaming(true)
 	cfg := experiments.Config{Small: true, RunWorkers: runWorkers}
 	tables, err := experiments.Table1(cfg)
 	if err != nil {
@@ -55,15 +52,13 @@ func TestScheduledSweepByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep matrix skipped in -short mode")
 	}
-	ref := sweepOnce(t, 1, false, false)
+	ref := sweepOnce(t, 1, false)
 	for _, rw := range []int{1, 4, 8} {
 		for _, pool := range []bool{false, true} {
-			for _, stream := range []bool{false, true} {
-				got := sweepOnce(t, rw, pool, stream)
-				if got != ref {
-					t.Errorf("runWorkers=%d pool=%v stream=%v: rendered tables diverged from sequential pool-off stream-off reference\nref:\n%s\ngot:\n%s",
-						rw, pool, stream, ref, got)
-				}
+			got := sweepOnce(t, rw, pool)
+			if got != ref {
+				t.Errorf("runWorkers=%d pool=%v: rendered tables diverged from sequential pool-off reference\nref:\n%s\ngot:\n%s",
+					rw, pool, ref, got)
 			}
 		}
 	}
